@@ -9,6 +9,7 @@ package spgcmp_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -565,6 +566,40 @@ func BenchmarkCellKernel(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) { benchCellKernel(b, c.h, c.inst(b)) })
+	}
+}
+
+// BenchmarkDPA1DBudgetFailure times one DPA1D run that exhausts a budget,
+// on a fresh analysis every iteration (no memo can replay the verdict):
+// FMRadio at T = 1 s runs out of states in its first expansion, BitonicSort
+// at T = 1 s runs out of its 24M-transition budget. These are the runs the
+// downset core's successor-edge walk exists to make cheap.
+func BenchmarkDPA1DBudgetFailure(b *testing.B) {
+	cases := []struct{ name, app string }{
+		{"state-limit", "FMRadio"},
+		{"transitions", "BitonicSort"},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			a, err := streamit.ByName(c.app)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := a.GraphWithCCR(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := core.NewDPA1D()
+			pl := platform.XScale(4, 4)
+			if _, err := h.Solve(core.NewInstance(g, pl, 1)); !errors.Is(err, core.ErrBudget) {
+				b.Fatalf("%s: %v, want a budget failure", c.app, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _ = h.Solve(core.NewInstance(g, pl, 1))
+			}
+		})
 	}
 }
 

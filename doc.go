@@ -53,7 +53,8 @@
 // fingerprint, which steers the DP's argmin — successful chunk
 // decompositions (copy-on-return through a fresh mapping build, so callers
 // never alias solutions), instead of re-running enumerations whose outcome
-// is already determined.
+// is already determined. That memo is per instance: a failure past the
+// first expansion depends on the member's cut volumes.
 //
 // Layer 2 — scale-family scope. The CCR variants of a workload differ only
 // by a uniform edge-volume rescale, so Analysis.ScaleToCCR derives a variant
@@ -63,7 +64,13 @@
 // arithmetic a fresh analysis would use. One analysis effectively serves an
 // application's whole Section 6.1 column. This layer applies whenever
 // volume-rescaled variants of one workload are solved: RunStreamIt derives
-// all four CCR cells of an application from one base analysis.
+// all four CCR cells of an application from one base analysis. One DPA1D
+// verdict is shared at this scope too: a run that exhausts its state budget
+// in its first expansion, from the empty downset, has failed before reading
+// any cut, so the failure depends only on the shared lattice, the state
+// budget and the chunk cap T*MaxSpeed; it is recorded for the family, and
+// the CCR siblings replay the identical error instead of re-interning the
+// same states.
 //
 // Layer 3 — campaign scope. engine.AnalysisCache (re-exported as
 // experiments.AnalysisCache) is a bounded, workload-identity-keyed LRU
@@ -101,10 +108,16 @@
 // Under the cache layers, the DP solvers themselves run on dense data
 // structures rather than map-keyed states. spg.DownsetSpace interns every
 // downset of a chain once: per-downset element counts live in a flat stride
-// arena, membership in packed bitsets, identity in an open-addressed FNV
-// table, and successor expansion in id-indexed entries with epoch-stamped
-// DFS marks — so DPA1D's enumeration walks integer ids, never hashing a
-// map. The DP tables of DPA2D, DPA1D and DPA2D1D are run-indexed slices
+// arena, membership in packed bitsets, and the lattice itself in successor
+// edges — one int32 slot per (downset, elevation level) naming the downset
+// that adding the level's next stage yields, or marking the edge blocked.
+// A downset's hash is a sum of fixed per-(level, count) keys, so a
+// successor's hash is its source's plus one key difference, and the
+// open-addressed intern table keeps a 32-bit fingerprint beside each id;
+// the table is consulted only the first time an edge is resolved. DPA1D's
+// expansion DFS walks integer ids through the successor slots with
+// epoch-stamped marks, so an edge is hashed at most once per lattice, never
+// once per enumeration. The DP tables of DPA2D, DPA1D and DPA2D1D are run-indexed slices
 // carved from a core.Scratch: a bump arena of doubling blocks handing out
 // float64/int32 windows, row matrices sliced from one flat block, and
 // distribution buffers, all recycled by a reset that retains the largest

@@ -173,6 +173,56 @@ func (bm *budgetMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
 	bm.sol[key] = copyChunks(chunks)
 }
 
+// firstExpansionKey identifies a run's first expansion: the enumeration of
+// every chunk that fits one processor, from the empty downset, which solve1D
+// performs before any cut or volume check. Its outcome depends only on the
+// family-shared lattice (structure and stage weights), the normalized state
+// budget and the chunk cap T*MaxSpeed — not on the member's volumes, the
+// bandwidth, the core count or the transition budget.
+type firstExpansionKey struct {
+	maxStates int
+	maxChunk  float64
+}
+
+// firstExpansionMemo records, per scale family, the state-limit failures of
+// first expansions. The per-member budgetMemo keys a verdict to one CCR
+// member, which alone would leave each sibling to re-intern the same 150k
+// states only to fail at the same point; a first-expansion failure is
+// volume-independent, so siblings replay it from here instead. Failures
+// past the first expansion depend on cut volumes and stay per member.
+type firstExpansionMemo struct {
+	mu sync.Mutex
+	m  map[firstExpansionKey]error
+}
+
+type firstExpansionAuxKey struct{}
+
+func firstExpansionMemoFor(an *spg.Analysis) *firstExpansionMemo {
+	return an.Aux(firstExpansionAuxKey{}, func() any {
+		return &firstExpansionMemo{m: make(map[firstExpansionKey]error)}
+	}).(*firstExpansionMemo)
+}
+
+func (fm *firstExpansionMemo) lookup(key firstExpansionKey) error {
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	return fm.m[key]
+}
+
+func (fm *firstExpansionMemo) record(key firstExpansionKey, err error) {
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	fm.m[key] = err
+}
+
+// MemoryFootprint implements spg.Footprinter: a 16-byte key plus the map
+// entry share budgetMemo charges.
+func (fm *firstExpansionMemo) MemoryFootprint() int64 {
+	fm.mu.Lock()
+	defer fm.mu.Unlock()
+	return int64(len(fm.m)) * (16 + 48)
+}
+
 // Solve implements Heuristic.
 func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	inst = inst.Analyzed()
@@ -182,7 +232,16 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	// A budget failure recorded for this exact configuration replays
 	// immediately: the run it summarizes would burn the whole enumeration
 	// again only to fail identically (runs are deterministic given the key
-	// and the member's graph).
+	// and the member's graph). A first-expansion failure recorded by any
+	// member of the scale family replays the same way.
+	first := firstExpansionMemoFor(inst.Analysis)
+	firstKey := firstExpansionKey{
+		maxStates: spg.NormalizeStateBudget(h.MaxStates),
+		maxChunk:  inst.Period * inst.Platform.MaxSpeed(),
+	}
+	if err := first.lookup(firstKey); err != nil {
+		return nil, err
+	}
 	memo := budgetMemoFor(inst.Analysis)
 	key := budgetMemoKey{
 		T:         inst.Period,
@@ -213,8 +272,13 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	// periods fails (or succeeds) exactly where a freshly built one would.
 	ds.LockRun()
 	defer ds.UnlockRun()
+	// A sibling that held the run lock until now may have just recorded the
+	// family verdict this run would reproduce.
+	if err := first.lookup(firstKey); err != nil {
+		return nil, err
+	}
 	ds.BeginRun()
-	chunks, err := solve1D(inst, ds, h.MaxTransitions)
+	chunks, inFirst, err := solve1D(inst, ds, h.MaxTransitions)
 	if err != nil {
 		if errors.Is(err, ErrBudget) {
 			// A partially enumerated space is dead weight for future runs;
@@ -223,6 +287,9 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 			// identical run skips the burn altogether.
 			inst.Analysis.EvictDownsetSpace(h.MaxStates, ds)
 			memo.record(key, err)
+			if inFirst {
+				first.record(firstKey, err)
+			}
 		}
 		return nil, err
 	}
@@ -231,8 +298,10 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 }
 
 // solve1D runs the Theorem 1 DP on a uni-directional chain of
-// pl.NumCores() processors and returns the optimal chunk sequence.
-func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, error) {
+// pl.NumCores() processors and returns the optimal chunk sequence. inFirst
+// reports that err arose in the first expansion, from the empty downset,
+// before any cut was read (see firstExpansionKey).
+func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) (chunks [][]int, inFirst bool, err error) {
 	pl, T := inst.Platform, inst.Period
 	r := pl.NumCores()
 	maxChunk := T * pl.MaxSpeed()
@@ -334,7 +403,7 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 	prev := newLayer(runStates)
 	first, err := expand(empty)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
+		return nil, true, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
 	}
 	transitions += len(first.exps)
 	grow(prev, runStates)
@@ -369,11 +438,11 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 			}
 			se, err := expand(id)
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
+				return nil, false, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
 			}
 			transitions += len(se.exps)
 			if transitions > maxTransitions {
-				return nil, fmt.Errorf("%w: transition budget exceeded (%w)", ErrNoSolution, ErrBudget)
+				return nil, false, fmt.Errorf("%w: transition budget exceeded (%w)", ErrNoSolution, ErrBudget)
 			}
 			grow(cur, runStates)
 			grow(prev, runStates)
@@ -399,19 +468,19 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, 
 	}
 
 	if bestK < 0 {
-		return nil, ErrNoSolution
+		return nil, false, ErrNoSolution
 	}
 
 	// Reconstruct the chunk of each processor, in chain order (run indices
 	// translate back to downset ids for the membership diff).
-	chunks := make([][]int, bestK)
+	chunks = make([][]int, bestK)
 	id := full
 	for k := bestK; k >= 1; k-- {
 		p := int(layers[k].parent[id])
 		chunks[k-1] = ds.Diff(ds.RunID(p), ds.RunID(id))
 		id = p
 	}
-	return chunks, nil
+	return chunks, false, nil
 }
 
 // finishSnake places consecutive chunks along the snake embedding, pins the

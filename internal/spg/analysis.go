@@ -204,9 +204,9 @@ func (a *Analysis) ScaleToCCR(target float64) *Analysis {
 // Aux returns the memoized auxiliary value for key, building it on first
 // use. It lets downstream packages attach their own caches of structure- or
 // weight-derived data to the analysis — the core package stores its
-// cross-period DPA2D rectangle tables here — with the same sharing scope as
-// the structural caches: one value per scale family, never per volume
-// variant. Keys follow the context.Context convention (unexported types in
+// cross-period DPA2D rectangle tables and DPA1D's first-expansion verdicts
+// here — with the same sharing scope as the structural caches: one value
+// per scale family, never per volume variant. Keys follow the context.Context convention (unexported types in
 // the owning package). The build function must not depend on edge volumes.
 func (a *Analysis) Aux(key any, build func() any) any {
 	sh := a.shared
@@ -422,7 +422,7 @@ func (sh *analysisShared) bandShape(m1, m2 int) *bandShape {
 // family's sibling members, which hold their own volume-dependent views over
 // it — while per-run budget accounting is handled by DownsetSpace.BeginRun.
 func (a *Analysis) DownsetSpace(maxStates int) (*DownsetSpace, error) {
-	maxStates = normalizeStateBudget(maxStates)
+	maxStates = NormalizeStateBudget(maxStates)
 	a.downMu.Lock()
 	if a.downsets == nil {
 		a.downsets = make(map[int]*downsetSlot)
@@ -480,7 +480,7 @@ func (sh *analysisShared) downsetCore(maxStates int, levels [][]int) (*downsetCo
 // the old core keep them (they stay correct — run epochs make the budget
 // accounting history-independent) until their own next eviction.
 func (a *Analysis) EvictDownsetSpace(maxStates int, ds *DownsetSpace) {
-	maxStates = normalizeStateBudget(maxStates)
+	maxStates = NormalizeStateBudget(maxStates)
 	a.downMu.Lock()
 	if slot, ok := a.downsets[maxStates]; ok {
 		slot.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -59,18 +60,37 @@ type DownsetSpace struct {
 // expansion enumeration and run accounting. Views sharing a core serialize
 // their runs through the core's run lock.
 //
-// States live in flat arenas addressed by id so the enumeration inner loop
-// touches no per-state allocations and no hashed containers: the per-level
-// count vectors sit back to back in one []uint8 (stride bytes each), the
-// stage-membership bitsets in one []uint64 (words words each), and interning
-// goes through an open-addressed table that probes the counts arena directly
-// instead of materializing string keys.
+// The lattice is stored as a graph of successor edges so that each edge is
+// hashed at most once per core, never once per enumeration. Every state owns
+// one successor slot per elevation level (succ), holding the state obtained
+// by adding that level's next stage once the edge has been resolved, or a
+// "blocked" mark when the level is full or the stage's predecessors are
+// missing. Expansion DFSs walk state ids through these slots; the intern
+// table is consulted only when an edge is first resolved. A state's hash is
+// the sum of fixed per-(level, count) keys, so the hash of a successor is
+// its source's hash plus one key difference — O(1), whatever the number of
+// levels — and the open-addressed intern table keeps a 32-bit fingerprint
+// beside each id, so the count vectors are compared only on a fingerprint
+// match.
+//
+// Per-state data lives in flat id-indexed arenas: the per-level count
+// vectors back to back in one []uint8 (stride bytes each), the
+// stage-membership bitsets in one []uint64 (words words each), the successor
+// slots in one []int32 (stride each), and a fixed-size record per state
+// (states). Memoized enumerations live in a separate slice (exps) with
+// entries only for states that have been expanded.
 type downsetCore struct {
-	g          *Graph  // structure/weight authority (any family member)
-	levels     [][]int // stages per elevation level, in chain (x) order
-	levelOf    []int   // stage -> level index (y-1)
-	posInLevel []int   // stage -> position within its level chain
-	preds      [][]int // stage -> distinct predecessors
+	g          *Graph      // structure/weight authority (any family member)
+	levels     [][]int     // stages per elevation level, in chain (x) order
+	levelW     [][]float64 // stage weight per (level, position)
+	levelOf    []int       // stage -> level index (y-1)
+	posInLevel []int       // stage -> position within its level chain
+	preds      [][]int     // stage -> distinct predecessors
+
+	// keys[keyOff[y]+c] is the hash key of "level y holds c stages"; a
+	// state's hash is the sum of its levels' keys.
+	keys   []uint64
+	keyOff []int
 
 	// runMu serializes whole runs: per-method locking (mu) keeps the data
 	// structures consistent, but a run's indices are only meaningful within
@@ -80,53 +100,80 @@ type downsetCore struct {
 	runMu sync.Mutex
 
 	mu     sync.Mutex
-	stride int     // bytes per state in counts: one per elevation level
-	words  int     // uint64 words per state in bits: (n+63)/64
-	counts []uint8 // flat id-indexed per-level inclusion counts (stride each)
-	bits   []uint64
-	size   []int // id -> number of included stages
+	stride int        // bytes per state in counts: one per elevation level
+	words  int        // uint64 words per state in bits: (n+63)/64
+	counts []uint8    // flat id-indexed per-level inclusion counts (stride each)
+	bits   []uint64   // flat id-indexed membership bitsets (words each)
+	succ   []int32    // flat id-indexed successor slots (stride each), see succUnknown
+	states []stateRec // id -> fixed-size record
 
-	// table is the open-addressed intern index (FNV-1a over the count bytes,
-	// linear probing, power-of-two capacity, -1 = empty slot): it replaces
-	// the old map[string]int and its per-lookup key materialization.
-	table []int32
+	// table is the open-addressed intern index: linear probing, power-of-two
+	// capacity, each slot fingerprint<<32 | (id+1), 0 = empty.
+	table []uint64
 
-	lastSeen   []int // id -> epoch that last touched it
-	epoch      int
-	runIDs     []int // run index -> id, in touch order for the current epoch
-	runIndexOf []int // id -> run index (valid only when lastSeen[id] == epoch)
+	epoch  int32
+	runIDs []int32 // run index -> id, in touch order for the current epoch
 
-	// exp memoizes enumerations per source downset (id-indexed; valid marks
-	// computed entries), tagged with the work budget they were computed at. A
-	// query at a smaller budget is served by filtering: pruning only removes
-	// chunks heavier than the budget (every path to a light chunk has light
+	// exps memoizes enumerations per source downset (states[id].exp indexes
+	// it), tagged with the work budget they were computed at. A query at a
+	// smaller budget is served by filtering: pruning only removes chunks
+	// heavier than the budget (every path to a light chunk has light
 	// prefixes), so the smaller-budget DFS tree is a prefix-closed subtree of
 	// the larger one and the filtered list preserves both membership and
 	// order. SelectPeriod descends from the largest period, so one
 	// enumeration per downset serves every later period.
-	exp []expEntry
+	exps []expEntry
 
-	// dfsSeen deduplicates states within one expansion DFS (stamped with
-	// dfsEpoch, so clearing between enumerations is a counter bump, not a
-	// sweep). It replaces the per-DFS map[string]bool.
-	dfsSeen  []int
-	dfsEpoch int
+	// dfsEpoch stamps states seen by the current expansion DFS
+	// (stateRec.dfsSeen), so clearing between enumerations is a counter bump,
+	// not a sweep. walkCounts, walkStack and walkRes are the DFS's reusable
+	// buffers: a walk that fails allocates nothing, one that succeeds copies
+	// its result out once.
+	dfsEpoch   int32
+	walkCounts []uint8
+	walkStack  []dfsFrame
+	walkRes    []Expansion
 
 	maxStates int
 	emptyID   int
 	fullID    int
 }
 
+// Successor slot values: an unresolved edge whose stage can be added,
+// a blocked edge (level full or predecessors missing); any positive value is
+// the successor's id+1.
+const (
+	succUnknown = 0
+	succBlocked = -1
+)
+
+// stateRec is the fixed-size record of one interned downset.
+type stateRec struct {
+	hash     uint64 // sum of the state's per-(level, count) keys
+	lastSeen int32  // run epoch that last touched the state (0 = never)
+	runIndex int32  // index in runIDs; valid only when lastSeen == epoch
+	dfsSeen  int32  // DFS epoch that last reached the state
+	exp      int32  // 1 + index of the state's entry in exps, 0 = none
+}
+
 type expEntry struct {
 	maxWork float64
 	exps    []Expansion
-	valid   bool
 }
 
-// normalizeStateBudget maps the "use the default cap" sentinel to its value;
-// every consumer of a state budget (space construction, the Analysis memo
-// key) must agree on it so equal budgets share one space.
-func normalizeStateBudget(maxStates int) int {
+// dfsFrame is one level of the expansion DFS: the state being extended, the
+// next elevation level to try and the chunk work accumulated on the path.
+type dfsFrame struct {
+	id   int32
+	y    int32
+	work float64
+}
+
+// NormalizeStateBudget maps the "use the default cap" sentinel (any
+// non-positive budget) to its value. Every consumer of a state budget — space
+// construction, the Analysis memo key, solver memo keys — must agree on it so
+// equal budgets share one space.
+func NormalizeStateBudget(maxStates int) int {
 	if maxStates <= 0 {
 		return 1 << 20
 	}
@@ -159,7 +206,7 @@ func newDownsetSpace(g *Graph, levels [][]int, maxStates int) (*DownsetSpace, er
 }
 
 func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, error) {
-	maxStates = normalizeStateBudget(maxStates)
+	maxStates = NormalizeStateBudget(maxStates)
 	for _, lv := range levels {
 		if len(lv) > 255 {
 			return nil, fmt.Errorf("spg: elevation level with %d stages exceeds uint8 count encoding", len(lv))
@@ -169,19 +216,34 @@ func newDownsetCore(g *Graph, levels [][]int, maxStates int) (*downsetCore, erro
 	c := &downsetCore{
 		g:          g,
 		levels:     levels,
+		levelW:     make([][]float64, len(levels)),
 		levelOf:    make([]int, n),
 		posInLevel: make([]int, n),
 		preds:      make([][]int, n),
+		keyOff:     make([]int, len(levels)),
 		stride:     len(levels),
 		words:      (n + 63) / 64,
-		table:      newInternTable(1 << 8),
+		table:      make([]uint64, 1<<8),
 		maxStates:  maxStates,
 		epoch:      1,
 	}
+	// splitmix64 from a fixed seed: the keys only shape the intern table's
+	// layout, never an enumeration result.
+	seed := uint64(0x9E3779B97F4A7C15)
 	for y, lv := range levels {
+		c.levelW[y] = make([]float64, len(lv))
 		for p, s := range lv {
 			c.levelOf[s] = y
 			c.posInLevel[s] = p
+			c.levelW[y][p] = g.Stages[s].Weight
+		}
+		c.keyOff[y] = len(c.keys)
+		for k := 0; k <= len(lv); k++ {
+			seed += 0x9E3779B97F4A7C15
+			z := seed
+			z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+			z = (z ^ z>>27) * 0x94D049BB133111EB
+			c.keys = append(c.keys, z^z>>31)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -227,6 +289,13 @@ func (ds *DownsetSpace) BeginRun() {
 	c := ds.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.epoch == math.MaxInt32 {
+		// Wrap: forget every stamp so no stale epoch can alias the new one.
+		for i := range c.states {
+			c.states[i].lastSeen = 0
+		}
+		c.epoch = 0
+	}
 	c.epoch++
 	c.runIDs = c.runIDs[:0]
 	// The constructor counts the empty and full sets; mirror that here so a
@@ -258,7 +327,7 @@ func (ds *DownsetSpace) RunCount() int {
 func (ds *DownsetSpace) RunID(k int) int {
 	ds.core.mu.Lock()
 	defer ds.core.mu.Unlock()
-	return ds.core.runIDs[k]
+	return int(ds.core.runIDs[k])
 }
 
 // EmptyID returns the id of the empty downset.
@@ -271,14 +340,18 @@ func (ds *DownsetSpace) FullID() int { return ds.core.fullID }
 func (ds *DownsetSpace) NumStates() int {
 	ds.core.mu.Lock()
 	defer ds.core.mu.Unlock()
-	return len(ds.core.size)
+	return len(ds.core.states)
 }
 
 // Size returns the number of stages in downset id.
 func (ds *DownsetSpace) Size(id int) int {
 	ds.core.mu.Lock()
 	defer ds.core.mu.Unlock()
-	return ds.core.size[id]
+	size := 0
+	for _, cnt := range ds.core.countsOf(id) {
+		size += int(cnt)
+	}
+	return size
 }
 
 // countsOf returns downset id's per-level count vector as a window into the
@@ -287,121 +360,150 @@ func (c *downsetCore) countsOf(id int) []uint8 {
 	return c.counts[id*c.stride : (id+1)*c.stride]
 }
 
-// newInternTable returns an empty open-addressed index of the given
-// power-of-two capacity (every slot -1).
-func newInternTable(capacity int) []int32 {
-	t := make([]int32, capacity)
-	for i := range t {
-		t[i] = -1
-	}
-	return t
-}
-
-// hashCounts is FNV-1a over a count vector, the intern table's hash.
-func hashCounts(counts []uint8) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range counts {
-		h ^= uint64(b)
-		h *= 1099511628211
+// hashOf sums the per-level keys of a count vector. Only the constructor
+// hashes a whole vector; every other state's hash is derived from its
+// source's in resolve.
+func (c *downsetCore) hashOf(counts []uint8) uint64 {
+	var h uint64
+	for y, cnt := range counts {
+		h += c.keys[c.keyOff[y]+int(cnt)]
 	}
 	return h
 }
 
-// lookup finds the id interned for counts, if any, without touching the run
-// budget. Callers hold c.mu.
-func (c *downsetCore) lookup(counts []uint8) (int, bool) {
+// slotOf mixes a state hash into its home slot; the slot's fingerprint is the
+// hash's low half, so the two draw on independent bits.
+func slotOf(h, mask uint64) uint64 { return ((h * 0x9E3779B97F4A7C15) >> 32) & mask }
+
+// lookup finds the id interned for counts (whose hash is h), if any, without
+// touching the run budget. Callers hold c.mu.
+func (c *downsetCore) lookup(h uint64, counts []uint8) (int, bool) {
 	mask := uint64(len(c.table) - 1)
-	for i := hashCounts(counts) & mask; ; i = (i + 1) & mask {
+	fp := h << 32
+	for i := slotOf(h, mask); ; i = (i + 1) & mask {
 		t := c.table[i]
-		if t < 0 {
+		if t == 0 {
 			return -1, false
 		}
-		if bytes.Equal(c.countsOf(int(t)), counts) {
-			return int(t), true
+		if t&^0xFFFFFFFF == fp {
+			if id := int(uint32(t)) - 1; bytes.Equal(c.countsOf(id), counts) {
+				return id, true
+			}
 		}
 	}
 }
 
-// growTable doubles the intern index and re-inserts every id (hashes are
-// recomputed from the counts arena; ids never move). Callers hold c.mu.
+// insertSlot places id (with hash h) into the first free slot of its probe
+// sequence in table.
+func insertSlot(table []uint64, h uint64, id int) {
+	mask := uint64(len(table) - 1)
+	i := slotOf(h, mask)
+	for table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	table[i] = h<<32 | uint64(id+1)
+}
+
+// growTable doubles the intern index and re-inserts every id from its stored
+// hash (ids never move). Callers hold c.mu.
 func (c *downsetCore) growTable() {
-	nt := newInternTable(2 * len(c.table))
-	mask := uint64(len(nt) - 1)
-	for id := 0; id < len(c.size); id++ {
-		i := hashCounts(c.countsOf(id)) & mask
-		for nt[i] >= 0 {
-			i = (i + 1) & mask
-		}
-		nt[i] = int32(id)
+	nt := make([]uint64, 2*len(c.table))
+	for id := range c.states {
+		insertSlot(nt, c.states[id].hash, id)
 	}
 	c.table = nt
 }
 
-// intern appends a new downset to the arenas and charges the run budget.
-// The budget is checked before any state is written so a rejected downset is
-// not retained; with c.mu held, the touch below then succeeds on the same
-// condition. Callers hold c.mu and have established that counts is not yet
-// interned.
-func (c *downsetCore) intern(counts []uint8) (int, error) {
-	if len(c.runIDs) >= c.maxStates {
+// intern appends a new downset (counts, hash h) to the arenas and charges the
+// run budget. The budget is checked before any state is written so a
+// rejected downset is not retained; with c.mu held, the touch below then
+// succeeds on the same condition. Callers hold c.mu and have established
+// that counts is not yet interned.
+func (c *downsetCore) intern(counts []uint8, h uint64) (int, error) {
+	// Ids are int32 in the successor slots; a lattice that large could never
+	// fit in memory anyway, so it counts as exhausting the budget.
+	if len(c.runIDs) >= c.maxStates || len(c.states) >= math.MaxInt32-1 {
 		return -1, ErrStateLimit
 	}
-	id := len(c.size)
+	id := len(c.states)
 	// Keep the open-addressed table below 75% load.
 	if (id+1)*4 > len(c.table)*3 {
 		c.growTable()
 	}
-	mask := uint64(len(c.table) - 1)
-	i := hashCounts(counts) & mask
-	for c.table[i] >= 0 {
-		i = (i + 1) & mask
-	}
-	c.table[i] = int32(id)
+	insertSlot(c.table, h, id)
 
 	c.counts = append(c.counts, counts...)
 	base := len(c.bits)
-	for w := 0; w < c.words; w++ {
-		c.bits = append(c.bits, 0)
-	}
-	sz := 0
+	c.bits = append(c.bits, make([]uint64, c.words)...)
 	for y, cnt := range counts {
-		sz += int(cnt)
 		for p := 0; p < int(cnt); p++ {
 			s := c.levels[y][p]
 			c.bits[base+(s>>6)] |= 1 << (uint(s) & 63)
 		}
 	}
-	c.size = append(c.size, sz)
-	c.lastSeen = append(c.lastSeen, 0) // 0 predates every epoch: untouched
-	c.runIndexOf = append(c.runIndexOf, 0)
-	c.exp = append(c.exp, expEntry{})
-	c.dfsSeen = append(c.dfsSeen, 0)
+	c.succ = append(c.succ, make([]int32, c.stride)...)
+	c.states = append(c.states, stateRec{hash: h})
 	return id, c.touch(id)
 }
 
 // touch records that the current run uses downset id, charging the run
 // budget and assigning the run index on the first touch. Callers hold c.mu.
 func (c *downsetCore) touch(id int) error {
-	if c.lastSeen[id] == c.epoch {
+	r := &c.states[id]
+	if r.lastSeen == c.epoch {
 		return nil
 	}
 	if len(c.runIDs) >= c.maxStates {
 		return ErrStateLimit
 	}
-	c.lastSeen[id] = c.epoch
-	c.runIndexOf[id] = len(c.runIDs)
-	c.runIDs = append(c.runIDs, id)
+	r.lastSeen = c.epoch
+	r.runIndex = int32(len(c.runIDs))
+	c.runIDs = append(c.runIDs, int32(id))
 	return nil
 }
 
 // visit returns the id of the downset with the given counts, interning it if
-// new, and charges the run budget (through touch, the single charging path).
-// Callers hold c.mu.
+// new, and charges the run budget. Only the constructor uses it; lattice
+// walks go through the successor slots (addable, resolve). Callers hold c.mu.
 func (c *downsetCore) visit(counts []uint8) (int, error) {
-	if id, ok := c.lookup(counts); ok {
+	h := c.hashOf(counts)
+	if id, ok := c.lookup(h, counts); ok {
 		return id, c.touch(id)
 	}
-	return c.intern(counts)
+	return c.intern(counts, h)
+}
+
+// addable reports whether the next stage of level y can join downset id
+// (whose count vector is counts): the level must not be full and the
+// stage's predecessors must all be included. Callers consult it only for an
+// unresolved slot; a refusal is recorded as succBlocked so the question is
+// never asked again. Callers hold c.mu.
+func (c *downsetCore) addable(id, y int, counts []uint8) bool {
+	p := int(counts[y])
+	if p < len(c.levels[y]) && c.predsIncluded(counts, c.levels[y][p]) {
+		return true
+	}
+	c.succ[id*c.stride+y] = succBlocked
+	return false
+}
+
+// resolve finds (interning if new) the successor of id across the unblocked
+// level-y edge and records it in id's successor slot. counts is the
+// successor's count vector (id's, with counts[y] already incremented). A
+// newly interned state is charged to the run; an existing one is not —
+// charging it is the caller's decision. Callers hold c.mu.
+func (c *downsetCore) resolve(id, y int, counts []uint8) (int, error) {
+	k := c.keyOff[y] + int(counts[y])
+	h := c.states[id].hash + c.keys[k] - c.keys[k-1]
+	to, ok := c.lookup(h, counts)
+	if !ok {
+		var err error
+		if to, err = c.intern(counts, h); err != nil {
+			return -1, err
+		}
+	}
+	c.succ[id*c.stride+y] = int32(to + 1)
+	return to, nil
 }
 
 // Contains reports whether stage s belongs to downset id.
@@ -423,7 +525,7 @@ func (ds *DownsetSpace) Members(id int) []int {
 	c := ds.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]int, 0, c.size[id])
+	var out []int
 	for y, cnt := range c.countsOf(id) {
 		for p := 0; p < int(cnt); p++ {
 			out = append(out, c.levels[y][p])
@@ -466,7 +568,7 @@ func (ds *DownsetSpace) Cout(id int) float64 {
 func (ds *DownsetSpace) CoutRun(k int) float64 {
 	ds.core.mu.Lock()
 	defer ds.core.mu.Unlock()
-	return ds.coutLocked(ds.core.runIDs[k])
+	return ds.coutLocked(int(ds.core.runIDs[k]))
 }
 
 func (ds *DownsetSpace) coutLocked(id int) float64 {
@@ -491,6 +593,8 @@ func (ds *DownsetSpace) coutLocked(id int) float64 {
 // whose total weight does not exceed maxWork (at least one stage is added).
 // The run budget is charged for id and every returned downset, in
 // enumeration order, so replays and fresh enumerations account identically.
+// The returned slice is the caller's own: the memoized enumeration is
+// never handed out.
 func (ds *DownsetSpace) Expansions(id int, maxWork float64) ([]Expansion, error) {
 	c := ds.core
 	c.mu.Lock()
@@ -498,12 +602,6 @@ func (ds *DownsetSpace) Expansions(id int, maxWork float64) ([]Expansion, error)
 	entry, err := c.ensureExpansionsLocked(id, maxWork)
 	if err != nil {
 		return nil, err
-	}
-	if entry.maxWork == maxWork {
-		if err := c.replayLocked(entry, maxWork, func(Expansion) {}); err != nil {
-			return nil, err
-		}
-		return entry.exps, nil
 	}
 	out := make([]Expansion, 0, len(entry.exps))
 	err = c.replayLocked(entry, maxWork, func(ex Expansion) { out = append(out, ex) })
@@ -521,14 +619,14 @@ func (ds *DownsetSpace) ExpansionsInRun(k int, maxWork float64) ([]Expansion, er
 	c := ds.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entry, err := c.ensureExpansionsLocked(c.runIDs[k], maxWork)
+	entry, err := c.ensureExpansionsLocked(int(c.runIDs[k]), maxWork)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Expansion, 0, len(entry.exps))
 	err = c.replayLocked(entry, maxWork, func(ex Expansion) {
 		// Every emitted To was just touched, so its run index is current.
-		out = append(out, Expansion{To: c.runIndexOf[ex.To], ChunkWork: ex.ChunkWork})
+		out = append(out, Expansion{To: int(c.states[ex.To].runIndex), ChunkWork: ex.ChunkWork})
 	})
 	if err != nil {
 		return nil, err
@@ -556,73 +654,118 @@ func (c *downsetCore) replayLocked(entry expEntry, maxWork float64, emit func(Ex
 
 // ensureExpansionsLocked returns the cached enumeration for id, running the
 // depth-first enumeration at maxWork when no entry at that budget (or a
-// larger one) exists. The DFS charges the run budget for every state it
-// visits — a state already interned by an earlier run is touched without
-// re-interning, a genuinely new one is interned, and a state already seen by
-// this DFS is skipped without a charge, exactly the accounting the old
-// string-keyed walk performed. Replayed entries charge only id here, leaving
-// the per-expansion touches to the caller's filter loop so the accounting
-// order matches a fresh enumeration. Chunk works are stage-weight sums, so
-// one enumeration serves every volume scale sharing the core. Callers hold
-// c.mu and must not modify entry.exps (the cached slice is returned without
-// copying; every caller in this file only reads or re-filters it).
+// larger one) exists. Replayed entries charge only id here, leaving the
+// per-expansion touches to the caller's filter loop so the accounting order
+// matches a fresh enumeration. Chunk works are stage-weight sums, so one
+// enumeration serves every volume scale sharing the core. Callers hold c.mu
+// and must not modify entry.exps (it is the memo itself; every caller in
+// this file only re-filters it into a fresh slice).
 func (c *downsetCore) ensureExpansionsLocked(id int, maxWork float64) (expEntry, error) {
-	if e := c.exp[id]; e.valid && e.maxWork >= maxWork {
-		return e, c.touch(id)
+	if x := c.states[id].exp; x > 0 && c.exps[x-1].maxWork >= maxWork {
+		return c.exps[x-1], c.touch(id)
 	}
 	if err := c.touch(id); err != nil {
 		return expEntry{}, err
 	}
-	counts := make([]uint8, c.stride)
-	copy(counts, c.countsOf(id))
-	c.dfsEpoch++
-	c.dfsSeen[id] = c.dfsEpoch
-	var res []Expansion
-	var err error
-	var dfs func(work float64)
-	dfs = func(work float64) {
-		if err != nil {
-			return
-		}
-		for y := range counts {
-			p := int(counts[y])
-			if p >= len(c.levels[y]) {
-				continue
-			}
-			s := c.levels[y][p]
-			w := work + c.g.Stages[s].Weight
-			if w > maxWork {
-				continue
-			}
-			if !c.predsIncluded(counts, s) {
-				continue
-			}
-			counts[y]++
-			to, ok := c.lookup(counts)
-			if !ok || c.dfsSeen[to] != c.dfsEpoch {
-				if ok {
-					err = c.touch(to)
-				} else {
-					to, err = c.intern(counts)
-				}
-				if err != nil {
-					counts[y]--
-					return
-				}
-				c.dfsSeen[to] = c.dfsEpoch
-				res = append(res, Expansion{To: to, ChunkWork: w})
-				dfs(w)
-			}
-			counts[y]--
-		}
-	}
-	dfs(0)
+	res, err := c.walk(id, maxWork)
 	if err != nil {
 		return expEntry{}, err
 	}
-	e := expEntry{maxWork: maxWork, exps: res, valid: true}
-	c.exp[id] = e
+	e := expEntry{maxWork: maxWork, exps: res}
+	if x := c.states[id].exp; x > 0 {
+		c.exps[x-1] = e
+	} else {
+		c.exps = append(c.exps, e)
+		c.states[id].exp = int32(len(c.exps))
+	}
 	return e, nil
+}
+
+// walk is the expansion DFS from id at maxWork: it visits, depth first and
+// level by level, every downset reachable by adding stages whose running
+// work stays within maxWork, and returns them in first-visit order with the
+// work of the path that first reached them. It charges the run budget for
+// every state it visits — a state already interned is touched, a genuinely
+// new one is interned, and a state already seen by this DFS is skipped
+// without a charge. Edges are followed through the successor slots; only
+// an unresolved edge reaches the intern table. Callers hold c.mu and have
+// touched id.
+func (c *downsetCore) walk(id int, maxWork float64) ([]Expansion, error) {
+	if c.dfsEpoch == math.MaxInt32 {
+		for i := range c.states {
+			c.states[i].dfsSeen = 0
+		}
+		c.dfsEpoch = 0
+	}
+	c.dfsEpoch++
+	stamp := c.dfsEpoch
+	c.states[id].dfsSeen = stamp
+
+	// counts tracks the count vector of the state on top of the stack.
+	counts := append(c.walkCounts[:0], c.countsOf(id)...)
+	stack := append(c.walkStack[:0], dfsFrame{id: int32(id)})
+	res := c.walkRes[:0]
+	defer func() { c.walkCounts, c.walkStack, c.walkRes = counts, stack[:0], res[:0] }()
+	// err is the outcome of the latest charge. A refused charge abandons
+	// only the frame it occurred in: the parent resumes with its next level,
+	// and a later successful charge (a state this run already touched)
+	// clears err again. The walk fails iff its last charge was refused; a
+	// walk that recovers returns (and memoizes) the expansions it charged.
+	// The golden results are pinned to this behaviour; refCore, the test
+	// oracle, specifies it.
+	var err error
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		y := int(top.y)
+		if y == c.stride {
+			stack = stack[:len(stack)-1]
+			if n := len(stack); n > 0 {
+				counts[stack[n-1].y]--
+				stack[n-1].y++
+			}
+			continue
+		}
+		from := int(top.id)
+		slot := c.succ[from*c.stride+y]
+		p := int(counts[y])
+		if slot == succBlocked || p == len(c.levelW[y]) {
+			top.y++
+			continue
+		}
+		// The work check precedes the predecessor check, so an edge is
+		// settled only once some walk can afford it.
+		w := top.work + c.levelW[y][p]
+		if w > maxWork || (slot == succUnknown && !c.addable(from, y, counts)) {
+			top.y++
+			continue
+		}
+		counts[y]++
+		to := int(slot) - 1
+		var charge error // refused only by interning a new state here
+		if slot == succUnknown {
+			to, charge = c.resolve(from, y, counts)
+		}
+		if charge == nil {
+			if c.states[to].dfsSeen == stamp {
+				counts[y]--
+				top.y++
+				continue
+			}
+			charge = c.touch(to)
+		}
+		if err = charge; err != nil {
+			counts[y]--
+			top.y = int32(c.stride) // abandon the rest of this frame
+			continue
+		}
+		c.states[to].dfsSeen = stamp
+		res = append(res, Expansion{To: to, ChunkWork: w})
+		stack = append(stack, dfsFrame{id: int32(to), work: w})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append([]Expansion(nil), res...), nil
 }
 
 func (c *downsetCore) predsIncluded(counts []uint8, s int) bool {
@@ -650,17 +793,20 @@ func (ds *DownsetSpace) AllDownsets() ([]int, error) {
 		id := queue[qi]
 		copy(counts, c.countsOf(id))
 		for y := range counts {
-			p := int(counts[y])
-			if p >= len(c.levels[y]) {
+			slot := c.succ[id*c.stride+y]
+			if slot == succBlocked || (slot == succUnknown && !c.addable(id, y, counts)) {
 				continue
 			}
-			s := c.levels[y][p]
-			if !c.predsIncluded(counts, s) {
-				continue
+			to := int(slot) - 1
+			var err error
+			if slot == succUnknown {
+				counts[y]++
+				to, err = c.resolve(id, y, counts)
+				counts[y]--
 			}
-			counts[y]++
-			to, err := c.visit(counts)
-			counts[y]--
+			if err == nil {
+				err = c.touch(to)
+			}
 			if err != nil {
 				return nil, err
 			}

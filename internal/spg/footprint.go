@@ -216,28 +216,38 @@ func (s *bandShape) footprint() int64 {
 	return b
 }
 
-// footprint estimates the interned lattice: the flat count/bitset arenas,
-// the open-addressed intern table, run accounting and the memoized expansion
-// enumerations. This is the dominant term on large-elevation workloads (a
-// 150k-state space with its enumerations runs to hundreds of MB), which is
-// exactly why the campaign cache re-estimates footprints as spaces grow.
+// footprint estimates the interned lattice: the flat count, bitset and
+// successor arenas, the per-state records, the open-addressed intern table,
+// run accounting and the memoized expansion enumerations. This is the
+// dominant term on large-elevation workloads (a 150k-state space with its
+// enumerations runs to hundreds of MB), which is exactly why the campaign cache
+// re-estimates footprints as spaces grow. Capacities, not lengths, are
+// charged: they are what the arenas hold on the heap.
 func (c *downsetCore) footprint() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	states := int64(len(c.size))
+	const (
+		stateRecBytes = 24 // hash + four int32 fields
+		expEntryBytes = 32 // maxWork + slice header
+		expansionSize = 16 // To + ChunkWork
+		dfsFrameBytes = 16 // id + y + work
+	)
 	var b int64
-	// Flat arenas: counts bytes, membership bitset words, intern table slots.
-	b += int64(cap(c.counts)) + int64(cap(c.bits))*8 + int64(cap(c.table))*4
-	// size, lastSeen, runIndexOf, dfsSeen, runIDs.
-	b += states*4*8 + int64(cap(c.runIDs))*8
-	// Expansion memo: one fixed entry per state plus the cached enumerations.
-	b += states * (sliceHeaderBytes + 16)
-	for i := range c.exp {
-		b += int64(len(c.exp[i].exps)) * 16
+	// Flat arenas: counts bytes, bitset words, successor slots.
+	b += int64(cap(c.counts)) + int64(cap(c.bits))*8 + int64(cap(c.succ))*4
+	// State records, intern table slots, run order.
+	b += int64(cap(c.states))*stateRecBytes + int64(cap(c.table))*8 + int64(cap(c.runIDs))*4
+	// Expansion memo: entries for expanded states plus their enumerations.
+	b += int64(cap(c.exps)) * expEntryBytes
+	for _, e := range c.exps {
+		b += int64(cap(e.exps)) * expansionSize
 	}
-	// Static per-stage tables: levelOf, posInLevel, preds.
+	// DFS buffers and hash keys.
+	b += int64(cap(c.walkCounts)) + int64(cap(c.walkStack))*dfsFrameBytes + int64(cap(c.walkRes))*expansionSize
+	b += int64(cap(c.keys))*8 + int64(len(c.keyOff))*8
+	// Static per-stage tables: levelOf, posInLevel, preds, levelW.
 	nStages := int64(len(c.levelOf))
-	b += nStages * 2 * 8
+	b += nStages * 3 * 8
 	for _, p := range c.preds {
 		b += sliceHeaderBytes + int64(len(p))*8
 	}
