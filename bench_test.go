@@ -569,16 +569,26 @@ func BenchmarkCellKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkDPA1DBudgetFailure times one DPA1D run that exhausts a budget,
-// on a fresh analysis every iteration (no memo can replay the verdict):
-// FMRadio at T = 1 s runs out of states in its first expansion, BitonicSort
-// at T = 1 s runs out of its 24M-transition budget. These are the runs the
-// downset core's successor-edge walk exists to make cheap.
+// BenchmarkDPA1DBudgetFailure times one DPA1D run that exhausts a budget.
+// The first three cases run on a fresh analysis every iteration, so no memo
+// can replay the verdict: FMRadio at T = 1 s runs out of states in its first
+// expansion, BitonicSort at T = 1 s runs out of its 24M-transition budget,
+// and FMRadio at T = 0.1 s runs out of states in a later layer (the
+// downset core's successor-edge walk exists to make these cheap).
+// sibling-replay times what a CCR sibling of that last run pays once the
+// family holds its verdict: the certificate check, on a fresh member of the
+// family every iteration.
 func BenchmarkDPA1DBudgetFailure(b *testing.B) {
-	cases := []struct{ name, app string }{
-		{"state-limit", "FMRadio"},
-		{"transitions", "BitonicSort"},
+	cases := []struct {
+		name, app string
+		T         float64
+	}{
+		{"state-limit", "FMRadio", 1},
+		{"transitions", "BitonicSort", 1},
+		{"later-layer", "FMRadio", 0.1},
 	}
+	h := core.NewDPA1D()
+	pl := platform.XScale(4, 4)
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			a, err := streamit.ByName(c.app)
@@ -589,18 +599,46 @@ func BenchmarkDPA1DBudgetFailure(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			h := core.NewDPA1D()
-			pl := platform.XScale(4, 4)
-			if _, err := h.Solve(core.NewInstance(g, pl, 1)); !errors.Is(err, core.ErrBudget) {
+			if _, err := h.Solve(core.NewInstance(g, pl, c.T)); !errors.Is(err, core.ErrBudget) {
 				b.Fatalf("%s: %v, want a budget failure", c.app, err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, _ = h.Solve(core.NewInstance(g, pl, 1))
+				_, _ = h.Solve(core.NewInstance(g, pl, c.T))
 			}
 		})
 	}
+	b.Run("sibling-replay", func(b *testing.B) {
+		a, err := streamit.ByName("FMRadio")
+		if err != nil {
+			b.Fatal(err)
+		}
+		base, err := a.BaseGraph()
+		if err != nil {
+			b.Fatal(err)
+		}
+		const T = 0.1
+		family := spg.NewAnalysis(base)
+		solve := func(ccr float64) error {
+			member := family.ScaleToCCR(ccr)
+			_, err := h.Solve(core.Instance{Graph: member.Graph(), Platform: pl, Period: T, Analysis: member})
+			return err
+		}
+		want := solve(1)
+		if !errors.Is(want, core.ErrBudget) {
+			b.Fatalf("FMRadio: %v, want a budget failure", want)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Every iteration solves a member the family has not seen, so
+			// its own memo is empty and only the family verdict can answer.
+			if err := solve(2 + float64(i)*1e-6); err == nil || err.Error() != want.Error() {
+				b.Fatalf("sibling: %v, want %v", err, want)
+			}
+		}
+	})
 }
 
 // --- Ablation benchmarks for the design choices called out in DESIGN.md ---

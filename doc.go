@@ -53,8 +53,10 @@
 // fingerprint, which steers the DP's argmin — successful chunk
 // decompositions (copy-on-return through a fresh mapping build, so callers
 // never alias solutions), instead of re-running enumerations whose outcome
-// is already determined. That memo is per instance: a failure past the
-// first expansion depends on the member's cut volumes.
+// is already determined. That memo is per instance, because a run's outcome
+// depends on the member's cut volumes; it also marks each configuration
+// whose family verdicts (Layer 2) were checked, so a warm sweep never
+// re-evaluates a certificate.
 //
 // Layer 2 — scale-family scope. The CCR variants of a workload differ only
 // by a uniform edge-volume rescale, so Analysis.ScaleToCCR derives a variant
@@ -64,13 +66,23 @@
 // arithmetic a fresh analysis would use. One analysis effectively serves an
 // application's whole Section 6.1 column. This layer applies whenever
 // volume-rescaled variants of one workload are solved: RunStreamIt derives
-// all four CCR cells of an application from one base analysis. One DPA1D
-// verdict is shared at this scope too: a run that exhausts its state budget
-// in its first expansion, from the empty downset, has failed before reading
-// any cut, so the failure depends only on the shared lattice, the state
-// budget and the chunk cap T*MaxSpeed; it is recorded for the family, and
-// the CCR siblings replay the identical error instead of re-interning the
-// same states.
+// all four CCR cells of an application from one base analysis. DPA1D's
+// budget verdicts are shared at this scope too. Given the shared lattice,
+// the state budget, the chunk cap T*MaxSpeed and the transition budget, a
+// run's touched states, transition count and failure point depend on the
+// member only through its decisions cut > BW*T on the states whose cuts it
+// compares (walked chunks always have a feasible speed, so on platforms
+// whose energies stay finite a layer progresses exactly when it expands
+// something). A budget failure is therefore recorded for the family, keyed
+// by the state budget and the chunk cap, with its failure layer, its
+// transition budget and a cut certificate: the count vector of every state
+// whose cut the run compared, with the comparison's outcome. A sibling with
+// at least that many cores and the same transition budget replays the
+// identical error when its own cuts — summed by the same spg helper the
+// space uses — reproduce every decision; a heavier sibling whose cuts prune
+// differently fails the certificate and runs. A failure in the first
+// expansion, before any cut is read, carries an empty certificate and
+// reaches every core count and transition budget.
 //
 // Layer 3 — campaign scope. engine.AnalysisCache (re-exported as
 // experiments.AnalysisCache) is a bounded, workload-identity-keyed LRU

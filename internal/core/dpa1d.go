@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"spgcmp/internal/mapping"
 	"spgcmp/internal/platform"
@@ -82,13 +83,19 @@ func dpa1dEnergySig(pl *platform.Platform) string {
 }
 
 // budgetMemo records, per family member, the outcomes of past DPA1D runs:
-// budget-failure verdicts and, since the campaign-engine refactor,
-// successful chunk decompositions. A budget-failed run evicts its
-// half-enumerated downset space (see Solve), so before this memo every
-// identical later run — the same CCR cell in a repeated campaign sweep, say
-// — re-burned the entire enumeration just to fail at the same point; the run
-// is deterministic given the key, so replaying the recorded error is
-// bit-identical and free.
+// budget-failure verdicts — the member's own, or a family verdict it
+// replayed (see verdictMemo) — and successful chunk decompositions. A
+// budget-failed run evicts its half-enumerated downset space (see Solve), so
+// without this memo every identical later run — the same CCR cell in a
+// repeated campaign sweep, say — would re-burn the entire enumeration just
+// to fail at the same point; the run is deterministic given the key, so
+// replaying the recorded error is bit-identical and free.
+//
+// A nil error recorded under a key marks a configuration whose family
+// verdicts were checked and did not apply: certificate checks cost a cut
+// evaluation per certified state, so each member checks a configuration
+// once, and warm sweeps stay O(1) per solve even for runs whose outcome is
+// not memoized (plain infeasibility).
 //
 // Successful runs memoize their chunk sequence (not the Solution): a warm
 // sweep replays the chunks through finishSnake, which rebuilds mapping,
@@ -113,12 +120,17 @@ func budgetMemoFor(an *spg.Analysis) *budgetMemo {
 	}).(*budgetMemo)
 }
 
-func (bm *budgetMemo) lookup(key budgetMemoKey) error {
+// lookup returns the budget error recorded for key, and whether the family
+// verdicts were already checked for it (true whenever anything is recorded).
+func (bm *budgetMemo) lookup(key budgetMemoKey) (checked bool, err error) {
 	bm.mu.Lock()
 	defer bm.mu.Unlock()
-	return bm.m[key]
+	err, checked = bm.m[key]
+	return checked, err
 }
 
+// record stores key's budget error, or with a nil err marks key's family
+// verdicts as checked.
 func (bm *budgetMemo) record(key budgetMemoKey, err error) {
 	bm.mu.Lock()
 	defer bm.mu.Unlock()
@@ -173,54 +185,141 @@ func (bm *budgetMemo) recordSolution(key solutionMemoKey, chunks [][]int) {
 	bm.sol[key] = copyChunks(chunks)
 }
 
-// firstExpansionKey identifies a run's first expansion: the enumeration of
-// every chunk that fits one processor, from the empty downset, which solve1D
-// performs before any cut or volume check. Its outcome depends only on the
-// family-shared lattice (structure and stage weights), the normalized state
-// budget and the chunk cap T*MaxSpeed — not on the member's volumes, the
-// bandwidth, the core count or the transition budget.
-type firstExpansionKey struct {
+// verdictKey is what every member of a scale family shares with a recorded
+// budget failure before any cut is read: the lattice (the family's
+// structure and stage weights), the normalized state budget and the chunk
+// cap T*MaxSpeed.
+type verdictKey struct {
 	maxStates int
 	maxChunk  float64
 }
 
-// firstExpansionMemo records, per scale family, the state-limit failures of
-// first expansions. The per-member budgetMemo keys a verdict to one CCR
-// member, which alone would leave each sibling to re-intern the same 150k
-// states only to fail at the same point; a first-expansion failure is
-// volume-independent, so siblings replay it from here instead. Failures
-// past the first expansion depend on cut volumes and stay per member.
-type firstExpansionMemo struct {
+// budgetVerdict is one budget failure recorded for a scale family, with a
+// certificate of the exact conditions under which a sibling's run repeats
+// it. Given the family lattice, the state budget, the chunk cap and the
+// transition budget, a run's sequence of touched states, its transition
+// count and its failure point depend on the member only through the
+// decisions cut > LinkCapacity(T) on the states whose cuts it compares:
+// every walked chunk has a feasible speed (MinFeasibleSpeed admits every
+// chunk within T*MaxSpeed), so where the platform keeps every candidate
+// energy finite (dpEnergiesFinite) a layer makes progress exactly when it
+// expands a state with a non-empty expansion list, whatever the member's
+// volumes or energy model. A member whose own cuts reproduce every recorded
+// decision therefore walks the same states in the same order and fails at
+// the same point with the same error.
+//
+// A failure in the first expansion, from the empty downset, happens before
+// any cut is read or any transition is checked: its certificate is empty
+// and it applies to every core count and transition budget.
+type budgetVerdict struct {
+	failLayer      int // the DP layer (processor count) the run failed in
+	maxTransitions int // the transition budget; irrelevant when failLayer is 1
+	// states holds the certificate's downsets as per-level count vectors
+	// back to back (spg.CutProbe.Stride bytes each); bit i of over records
+	// whether state i's cut exceeded the link capacity.
+	states []uint8
+	over   []uint64
+	err    error
+}
+
+// replays reports whether a run with the given core count and transition
+// budget, whose cuts probe evaluates and compares with linkCap, repeats the
+// verdict.
+func (v *budgetVerdict) replays(cores, maxTransitions int, probe *spg.CutProbe, linkCap float64) bool {
+	if v.failLayer > cores || (v.failLayer > 1 && v.maxTransitions != maxTransitions) {
+		return false
+	}
+	stride := probe.Stride()
+	for i := 0; i*stride < len(v.states); i++ {
+		over := probe.Cut(v.states[i*stride:(i+1)*stride]) > linkCap
+		if over != (v.over[i>>6]>>(uint(i)&63)&1 != 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// dpEnergiesFinite reports whether every candidate energy solve1D can form
+// on inst is finite, which the certificate argument of budgetVerdict needs:
+// an infinite or overflowing candidate would leave a reachable state
+// unreached. A chunk at its slowest feasible speed s runs work/s <=
+// T(1+1e-12) seconds and a cut carries at most the graph's total volume, so
+// each of at most NumCores layers adds at most one core's leakage and
+// dynamic energy plus one cut's communication energy. NaN fails the test.
+func dpEnergiesFinite(inst Instance) bool {
+	pl, T := inst.Platform, inst.Period
+	var volume, maxDyn float64
+	for _, e := range inst.Graph.Edges {
+		volume += e.Volume
+	}
+	for _, p := range pl.DynPower {
+		maxDyn = max(maxDyn, p)
+	}
+	perLayer := pl.LeakPower*T + 2*T*maxDyn + volume*pl.EnergyPerGB
+	return perLayer*float64(pl.NumCores()) < math.MaxFloat64/4
+}
+
+// verdictMemo records, per scale family, the budget failures of DPA1D
+// runs with their certificates (see budgetVerdict), so CCR siblings replay
+// a failure instead of re-burning the same enumeration. Verdicts under one
+// key are appended, never changed, and a member checks each at most once
+// per configuration (budgetMemo's checked mark).
+type verdictMemo struct {
 	mu sync.Mutex
-	m  map[firstExpansionKey]error
+	m  map[verdictKey][]*budgetVerdict
+
+	// evals counts certificate evaluations; tests use it to hold warm
+	// solves to zero.
+	evals atomic.Int64
 }
 
-type firstExpansionAuxKey struct{}
+type verdictMemoAuxKey struct{}
 
-func firstExpansionMemoFor(an *spg.Analysis) *firstExpansionMemo {
-	return an.Aux(firstExpansionAuxKey{}, func() any {
-		return &firstExpansionMemo{m: make(map[firstExpansionKey]error)}
-	}).(*firstExpansionMemo)
+func verdictMemoFor(an *spg.Analysis) *verdictMemo {
+	return an.Aux(verdictMemoAuxKey{}, func() any {
+		return &verdictMemo{m: make(map[verdictKey][]*budgetVerdict)}
+	}).(*verdictMemo)
 }
 
-func (fm *firstExpansionMemo) lookup(key firstExpansionKey) error {
-	fm.mu.Lock()
-	defer fm.mu.Unlock()
-	return fm.m[key]
+// replay returns the error of the first verdict recorded under key, at
+// index from or later, for which applies holds, and the number of verdicts
+// recorded under key when it looked.
+func (vm *verdictMemo) replay(key verdictKey, from int, applies func(*budgetVerdict) bool) (int, error) {
+	vm.mu.Lock()
+	verdicts := vm.m[key]
+	vm.mu.Unlock()
+	for _, v := range verdicts[from:] {
+		if applies(v) {
+			return len(verdicts), v.err
+		}
+	}
+	return len(verdicts), nil
 }
 
-func (fm *firstExpansionMemo) record(key firstExpansionKey, err error) {
-	fm.mu.Lock()
-	defer fm.mu.Unlock()
-	fm.m[key] = err
+func (vm *verdictMemo) record(key verdictKey, v *budgetVerdict) {
+	vm.mu.Lock()
+	defer vm.mu.Unlock()
+	vm.m[key] = append(vm.m[key], v)
 }
 
-// MemoryFootprint implements spg.Footprinter: a 16-byte key plus the map
-// entry share budgetMemo charges.
-func (fm *firstExpansionMemo) MemoryFootprint() int64 {
-	fm.mu.Lock()
-	defer fm.mu.Unlock()
-	return int64(len(fm.m)) * (16 + 48)
+// MemoryFootprint implements spg.Footprinter: the certificates by capacity,
+// plus per verdict its record, pointer slot and error value, and per key
+// its map entry and slice header.
+func (vm *verdictMemo) MemoryFootprint() int64 {
+	vm.mu.Lock()
+	defer vm.mu.Unlock()
+	const (
+		keyBytes     = 16 + 48 + 24 // verdictKey + map entry + slice header
+		verdictBytes = 96 + 8 + 64  // budgetVerdict + pointer slot + wrapped error
+	)
+	var b int64
+	for _, verdicts := range vm.m {
+		b += keyBytes
+		for _, v := range verdicts {
+			b += verdictBytes + int64(cap(v.states)) + int64(cap(v.over))*8
+		}
+	}
+	return b
 }
 
 // Solve implements Heuristic.
@@ -232,16 +331,7 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	// A budget failure recorded for this exact configuration replays
 	// immediately: the run it summarizes would burn the whole enumeration
 	// again only to fail identically (runs are deterministic given the key
-	// and the member's graph). A first-expansion failure recorded by any
-	// member of the scale family replays the same way.
-	first := firstExpansionMemoFor(inst.Analysis)
-	firstKey := firstExpansionKey{
-		maxStates: spg.NormalizeStateBudget(h.MaxStates),
-		maxChunk:  inst.Period * inst.Platform.MaxSpeed(),
-	}
-	if err := first.lookup(firstKey); err != nil {
-		return nil, err
-	}
+	// and the member's graph).
 	memo := budgetMemoFor(inst.Analysis)
 	key := budgetMemoKey{
 		T:         inst.Period,
@@ -250,7 +340,8 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 		bw:     inst.Platform.BW,
 		ladder: speedLadderSig(inst.Platform),
 	}
-	if err := memo.lookup(key); err != nil {
+	checked, err := memo.lookup(key)
+	if err != nil {
 		return nil, err
 	}
 	// A memoized successful run replays its chunk sequence straight through
@@ -262,6 +353,33 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	if chunks, ok := memo.solution(solKey); ok {
 		return finishSnake(h.Name(), inst, chunks)
 	}
+	// A budget failure recorded by any member of the scale family replays
+	// when its certificate holds under this member's cuts. It is checked
+	// before the space is built and again under the run lock, for verdicts a
+	// sibling recorded while this run waited.
+	shares := dpEnergiesFinite(inst)
+	family := verdictMemoFor(inst.Analysis)
+	famKey := verdictKey{
+		maxStates: spg.NormalizeStateBudget(h.MaxStates),
+		maxChunk:  inst.Period * inst.Platform.MaxSpeed(),
+	}
+	var probe *spg.CutProbe
+	linkCap := inst.Platform.LinkCapacity(inst.Period)
+	applies := func(v *budgetVerdict) bool {
+		if probe == nil {
+			probe = inst.Analysis.CutProbe()
+		}
+		family.evals.Add(1)
+		return v.replays(key.cores, h.MaxTransitions, probe, linkCap)
+	}
+	seen := 0
+	if !checked && shares {
+		seen, err = family.replay(famKey, 0, applies)
+		memo.record(key, err)
+		if err != nil {
+			return nil, err
+		}
+	}
 	ds, err := inst.Analysis.DownsetSpace(h.MaxStates)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
@@ -272,23 +390,24 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 	// periods fails (or succeeds) exactly where a freshly built one would.
 	ds.LockRun()
 	defer ds.UnlockRun()
-	// A sibling that held the run lock until now may have just recorded the
-	// family verdict this run would reproduce.
-	if err := first.lookup(firstKey); err != nil {
-		return nil, err
+	if !checked && shares {
+		if _, err := family.replay(famKey, seen, applies); err != nil {
+			memo.record(key, err)
+			return nil, err
+		}
 	}
 	ds.BeginRun()
-	chunks, inFirst, err := solve1D(inst, ds, h.MaxTransitions)
+	chunks, verdict, err := solve1D(inst, ds, h.MaxTransitions)
 	if err != nil {
-		if errors.Is(err, ErrBudget) {
+		if verdict != nil {
 			// A partially enumerated space is dead weight for future runs;
 			// drop it so the next period starts from a fresh space, exactly
 			// like the uncached path — and remember the verdict so the next
-			// identical run skips the burn altogether.
+			// identical run, and every sibling it certifies, skips the burn.
 			inst.Analysis.EvictDownsetSpace(h.MaxStates, ds)
 			memo.record(key, err)
-			if inFirst {
-				first.record(firstKey, err)
+			if shares {
+				family.record(famKey, verdict)
 			}
 		}
 		return nil, err
@@ -298,10 +417,10 @@ func (h *DPA1D) Solve(inst Instance) (*Solution, error) {
 }
 
 // solve1D runs the Theorem 1 DP on a uni-directional chain of
-// pl.NumCores() processors and returns the optimal chunk sequence. inFirst
-// reports that err arose in the first expansion, from the empty downset,
-// before any cut was read (see firstExpansionKey).
-func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) (chunks [][]int, inFirst bool, err error) {
+// pl.NumCores() processors and returns the optimal chunk sequence. A budget
+// failure also returns its family verdict, certified by the cut decisions
+// the run made (see budgetVerdict).
+func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) ([][]int, *budgetVerdict, error) {
 	pl, T := inst.Platform, inst.Period
 	r := pl.NumCores()
 	maxChunk := T * pl.MaxSpeed()
@@ -398,12 +517,45 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) (chunks []
 		return se, nil
 	}
 
+	// budgetFailure builds the verdict of a budget failure in layer k. Its
+	// certificate is every state whose cut the run compared with linkCap:
+	// every state with a computed cut but the empty set, whose cut only
+	// prices the first layer's communication.
+	budgetFailure := func(k int, err error) ([][]int, *budgetVerdict, error) {
+		n := 0
+		for id, cut := range cuts {
+			if id != empty && cut >= 0 {
+				n++
+			}
+		}
+		v := &budgetVerdict{failLayer: k, maxTransitions: maxTransitions, err: err}
+		if n > 0 {
+			v.states = make([]uint8, 0, n*len(inst.Analysis.Levels()))
+			v.over = make([]uint64, (n+63)/64)
+		}
+		i := 0
+		for id, cut := range cuts {
+			if id == empty || cut < 0 {
+				continue
+			}
+			v.states = ds.AppendCountsRun(v.states, id)
+			if cut > linkCap {
+				v.over[i>>6] |= 1 << (uint(i) & 63)
+			}
+			i++
+		}
+		return nil, v, err
+	}
+	stateLimit := func(k int, err error) ([][]int, *budgetVerdict, error) {
+		return budgetFailure(k, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget))
+	}
+
 	// Layer k holds E(D, k): minimal energy to run downset D on exactly the
 	// first k processors of the chain.
 	prev := newLayer(runStates)
 	first, err := expand(empty)
 	if err != nil {
-		return nil, true, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
+		return stateLimit(1, err)
 	}
 	transitions += len(first.exps)
 	grow(prev, runStates)
@@ -438,11 +590,11 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) (chunks []
 			}
 			se, err := expand(id)
 			if err != nil {
-				return nil, false, fmt.Errorf("%w: %v (%w)", ErrNoSolution, err, ErrBudget)
+				return stateLimit(k, err)
 			}
 			transitions += len(se.exps)
 			if transitions > maxTransitions {
-				return nil, false, fmt.Errorf("%w: transition budget exceeded (%w)", ErrNoSolution, ErrBudget)
+				return budgetFailure(k, fmt.Errorf("%w: transition budget exceeded (%w)", ErrNoSolution, ErrBudget))
 			}
 			grow(cur, runStates)
 			grow(prev, runStates)
@@ -468,19 +620,19 @@ func solve1D(inst Instance, ds *spg.DownsetSpace, maxTransitions int) (chunks []
 	}
 
 	if bestK < 0 {
-		return nil, false, ErrNoSolution
+		return nil, nil, ErrNoSolution
 	}
 
 	// Reconstruct the chunk of each processor, in chain order (run indices
 	// translate back to downset ids for the membership diff).
-	chunks = make([][]int, bestK)
+	chunks := make([][]int, bestK)
 	id := full
 	for k := bestK; k >= 1; k-- {
 		p := int(layers[k].parent[id])
 		chunks[k-1] = ds.Diff(ds.RunID(p), ds.RunID(id))
 		id = p
 	}
-	return chunks, false, nil
+	return chunks, nil, nil
 }
 
 // finishSnake places consecutive chunks along the snake embedding, pins the

@@ -234,6 +234,7 @@ func (e *engine2D) band(m1, m2 int) *spg.Band {
 func (e *engine2D) bandEcal(b *spg.Band, sc *Scratch) []float64 {
 	key := b.M1*(e.xmax+1) + b.M2
 	if ec := e.ecal[key]; ec != nil {
+		//spglint:ignore memoalias the engine's own per-solve table, handed back to the engine that owns it; publishEcal copies entries out
 		return ec
 	}
 	ec := e.pt.snapshotInto(key, sc.F64((e.ymax+2)*(e.ymax+2)))

@@ -22,11 +22,13 @@
 //     explicit `//spglint:wire` annotations.
 //
 //   - memoalias: functions in internal/core and internal/spg that return
-//     values read out of memo/cache maps must return copies (the
-//     copy-on-return rule): returning the looked-up slice or map — directly
-//     or via an untouched local — aliases cache-private state to the caller.
-//     Pointer-valued caches are exempt (sharing internally-synchronized
-//     values is their point).
+//     values read out of memo/cache maps or memo struct fields (a field
+//     whose name or comment says memo or cache) must return copies (the
+//     copy-on-return rule): returning the looked-up slice or map — directly,
+//     via an untouched local, through a field or element of a memo entry,
+//     or via a same-package helper that returns one — aliases cache-private
+//     state to the caller. Pointer-valued caches are exempt (sharing
+//     internally-synchronized values is their point).
 //
 //   - lockguard: struct fields annotated `// guarded by mu` (where mu names
 //     a sibling sync.Mutex/RWMutex field) must only be accessed in functions

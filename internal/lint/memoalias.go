@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -8,24 +9,37 @@ import (
 )
 
 // Memoalias enforces the copy-on-return rule (PR 3): a function that reads
-// a slice- or map-valued entry out of a memo/cache map must hand the caller
-// a copy, never the cached value itself — an aliased return lets the caller
+// a slice- or map-valued entry out of a memo/cache must hand the caller a
+// copy, never the cached value itself — an aliased return lets the caller
 // mutate cache-private state and silently poison every later replay.
 //
 // A map expression is memo-like when any identifier in the expression, or
 // the named type of any prefix of the selector chain, mentions "memo" or
 // "cache" (case-insensitive): bm.sol on a *budgetMemo qualifies via the
-// receiver's type name. Values are aliasing-prone when their underlying
+// receiver's type name. A struct field is a memo field when its name or its
+// doc or line comment mentions memo or cache (`exps memoizes enumerations
+// per source downset`). Values are aliasing-prone when their underlying
 // type is (or transitively contains, through struct fields) a slice or map.
 // Pointer-valued caches are exempt: handing out a shared, internally
 // synchronized *spg.Analysis is the cache's purpose, not a leak.
 //
-// Flagged: `return m.cache[k]`, and `v, ok := m.cache[k]; ...; return v`
-// when v was not reassigned in between. Passing v through any call (a
-// clone helper, append-copy) or rebinding it clears the taint.
+// A value is memo-derived when it is a lookup in a memo-like map, a memo
+// field, a field, element or sub-slice of a memo-derived value, a variable
+// bound to a memo-derived value and not rebound since, or the result of a
+// same-package function that returns a memo-derived value. Memo-derived
+// pointers are tracked too — c.exps[i] may be a *entry — but only the
+// aliasing-prone values reached through them are findings.
+//
+// Flagged: returning an aliasing-prone memo-derived value — `return
+// m.cache[k]`, `v, ok := m.cache[k]; ...; return v`, `return c.exps[i].exps`,
+// `entry := c.lookupLocked(k); return entry.exps`. Passing a value through
+// any call that is not itself memo-returning (a clone helper, append-copy)
+// or rebinding the variable clears the taint. A helper that deliberately
+// returns memo state to same-package callers carries a suppression with its
+// reason, and its callers stay checked.
 var Memoalias = &Analyzer{
 	Name: "memoalias",
-	Doc: "functions returning values from memo/cache maps must return copies " +
+	Doc: "functions returning values from memo/cache maps or fields must return copies " +
 		"(copy-on-return); returning the cached slice/map aliases private cache state",
 	Packages: []string{
 		"spgcmp/internal/core",
@@ -34,51 +48,128 @@ var Memoalias = &Analyzer{
 	Run: runMemoalias,
 }
 
+// memoState is one package's view of where memo data lives: the memo
+// fields (by comment or name) and the functions returning memo data.
+type memoState struct {
+	info   *types.Info
+	fields map[*types.Var]bool
+	funcs  map[*types.Func]bool
+}
+
 func runMemoalias(pass *Pass) error {
+	ms := &memoState{info: pass.TypesInfo, fields: memoFields(pass), funcs: make(map[*types.Func]bool)}
+	var bodies []*ast.BlockStmt
+	var decls []*types.Func // parallel to bodies; nil for literals
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
 			switch f := n.(type) {
 			case *ast.FuncDecl:
-				body = f.Body
+				if f.Body != nil {
+					fn, _ := pass.TypesInfo.Defs[f.Name].(*types.Func)
+					bodies, decls = append(bodies, f.Body), append(decls, fn)
+				}
 			case *ast.FuncLit:
-				body = f.Body
-			default:
-				return true
-			}
-			if body != nil {
-				memoaliasFunc(pass, body)
+				bodies, decls = append(bodies, f.Body), append(decls, nil)
 			}
 			return true
 		})
 	}
+	// Memo-returning functions, to a fixed point: a helper returning a
+	// helper's memo data returns memo data too. Returned pointers count:
+	// callers may reach memo slices through them.
+	for changed := true; changed; {
+		changed = false
+		for i, body := range bodies {
+			if fn := decls[i]; fn != nil && !ms.funcs[fn] && len(ms.leaks(body)) > 0 {
+				ms.funcs[fn] = true
+				changed = true
+			}
+		}
+	}
+	for _, body := range bodies {
+		for _, l := range ms.leaks(body) {
+			if l.msg != "" {
+				pass.Reportf(l.pos, "%s", l.msg)
+			}
+		}
+	}
 	return nil
 }
 
-func memoaliasFunc(pass *Pass, body *ast.BlockStmt) {
-	info := pass.TypesInfo
-	// taints: variables bound to an aliasing-prone memo lookup, keyed by
-	// object with the position of the binding.
+// memoFields collects the struct fields of the package whose name or
+// comment mentions memo or cache.
+func memoFields(pass *Pass) map[*types.Var]bool {
+	fields := make(map[*types.Var]bool)
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, f := range st.Fields.List {
+				text := f.Doc.Text() + f.Comment.Text()
+				for _, name := range f.Names {
+					if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok && nameSuggestsMemo(name.Name+" "+text) {
+						fields[v] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return fields
+}
+
+// memoLeak is one memo-derived value a function returns; msg is empty when
+// the value cannot alias (a pointer or a scalar).
+type memoLeak struct {
+	pos token.Pos
+	msg string
+}
+
+// leaks returns the memo-derived values body returns.
+func (ms *memoState) leaks(body *ast.BlockStmt) []memoLeak {
+	info := ms.info
+	// taints: variables bound to a memo-derived value, keyed by object with
+	// the position of the binding.
 	taints := make(map[types.Object]token.Pos)
+	sources := make(map[types.Object]string) // what each taint was read from
 	var rebinds []struct {
 		obj types.Object
 		pos token.Pos
 	}
+	// tainted reports whether obj holds a memo-derived value at pos.
+	tainted := func(obj types.Object, pos token.Pos) bool {
+		tpos, ok := taints[obj]
+		if !ok || tpos > pos {
+			return false
+		}
+		for _, rb := range rebinds {
+			if rb.obj == obj && rb.pos > tpos && rb.pos < pos {
+				return false
+			}
+		}
+		return true
+	}
+	var out []memoLeak
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch stmt := n.(type) {
 		case *ast.FuncLit:
 			return false // nested functions are visited on their own
 		case *ast.AssignStmt:
-			// v, ok := m[k] / v := m[k] / v = m[k] with a memo-like map m.
-			// The variable's own type is consulted (not the index
-			// expression's, which is a tuple in comma-ok form).
-			if len(stmt.Rhs) == 1 {
-				if idx, ok := stmt.Rhs[0].(*ast.IndexExpr); ok && memoMapIndex(info, idx) {
-					if obj := identObj(info, stmt.Lhs[0]); obj != nil && aliasingProne(obj.Type()) {
-						taints[obj] = stmt.Pos()
-						return true
+			// v, ok := m[k] / v := c.exps[i] / v, err := c.memoLocked(k):
+			// one memo-derived right-hand side taints every variable bound.
+			if len(stmt.Rhs) == 1 && ms.derived(stmt.Rhs[0], stmt.Pos(), tainted) {
+				src := "memo/cache"
+				if idx, ok := ast.Unparen(stmt.Rhs[0]).(*ast.IndexExpr); ok && memoMapIndex(info, idx) {
+					src = "memo/cache map"
+				}
+				for _, lhs := range stmt.Lhs {
+					if obj := identObj(info, lhs); obj != nil {
+						taints[obj], sources[obj] = stmt.Pos(), src
 					}
 				}
+				return true
 			}
 			// Any other assignment to a tainted variable clears its taint.
 			for _, lhs := range stmt.Lhs {
@@ -89,37 +180,83 @@ func memoaliasFunc(pass *Pass, body *ast.BlockStmt) {
 					}{obj, stmt.Pos()})
 				}
 			}
+		case *ast.RangeStmt:
+			// for _, v := range memoDerived: v is an element of memo data.
+			if stmt.Value != nil && ms.derived(stmt.X, stmt.Pos(), tainted) {
+				if obj := identObj(info, stmt.Value); obj != nil {
+					taints[obj], sources[obj] = stmt.Pos(), "memo/cache"
+				}
+			}
 		case *ast.ReturnStmt:
 			for _, res := range stmt.Results {
-				switch e := res.(type) {
+				if !ms.derived(res, stmt.Pos(), tainted) {
+					continue
+				}
+				if !aliasingProne(info.TypeOf(res)) {
+					out = append(out, memoLeak{pos: res.Pos()})
+					continue
+				}
+				var msg string
+				switch x := ast.Unparen(res).(type) {
 				case *ast.IndexExpr:
-					if memoMapIndex(info, e) && aliasingProne(info.TypeOf(e)) {
-						pass.Reportf(e.Pos(), "returns %s straight out of a memo/cache map; return a copy (copy-on-return)", types.ExprString(e))
+					if memoMapIndex(info, x) {
+						msg = fmt.Sprintf("returns %s straight out of a memo/cache map", types.ExprString(res))
 					}
 				case *ast.Ident:
-					obj := identObj(info, e)
-					if obj == nil {
-						continue
-					}
-					tpos, tainted := taints[obj]
-					if !tainted || tpos > stmt.Pos() {
-						continue
-					}
-					cleared := false
-					for _, rb := range rebinds {
-						if rb.obj == obj && rb.pos > tpos && rb.pos < stmt.Pos() {
-							cleared = true
-							break
-						}
-					}
-					if !cleared {
-						pass.Reportf(e.Pos(), "returns %s, read from a memo/cache map and never copied; return a copy (copy-on-return)", e.Name)
-					}
+					msg = fmt.Sprintf("returns %s, read from a %s and never copied", x.Name, sources[identObj(info, x)])
 				}
+				if msg == "" {
+					msg = fmt.Sprintf("returns %s, which holds memo/cache state", types.ExprString(res))
+				}
+				out = append(out, memoLeak{res.Pos(), msg + "; return a copy (copy-on-return)"})
 			}
 		}
 		return true
 	})
+	return out
+}
+
+// derived reports whether e evaluates to memo data (see Memoalias) at pos.
+func (ms *memoState) derived(e ast.Expr, pos token.Pos, tainted func(types.Object, token.Pos) bool) bool {
+	info := ms.info
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj := identObj(info, x)
+		return obj != nil && tainted(obj, pos)
+	case *ast.IndexExpr:
+		if memoMapIndex(info, x) {
+			return true
+		}
+		if _, isMap := typeUnder(info.TypeOf(x.X)).(*types.Map); isMap {
+			return false // a plain map's entry; memo maps are caught above
+		}
+		return ms.derived(x.X, pos, tainted)
+	case *ast.SliceExpr:
+		return ms.derived(x.X, pos, tainted)
+	case *ast.StarExpr:
+		return ms.derived(x.X, pos, tainted)
+	case *ast.SelectorExpr:
+		if v, ok := info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+			return ms.fields[v] || ms.derived(x.X, pos, tainted)
+		}
+	case *ast.CallExpr:
+		var fn *types.Func
+		switch f := ast.Unparen(x.Fun).(type) {
+		case *ast.Ident:
+			fn, _ = info.Uses[f].(*types.Func)
+		case *ast.SelectorExpr:
+			fn, _ = info.Uses[f.Sel].(*types.Func)
+		}
+		return fn != nil && ms.funcs[fn.Origin()]
+	}
+	return false
+}
+
+func typeUnder(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	return t.Underlying()
 }
 
 // memoMapIndex reports whether idx indexes a memo-like map.

@@ -89,6 +89,118 @@ func (m *solverMemo) suppressed(key string) [][]int {
 	return m.sol[key] //spglint:ignore memoalias fixture: caller is package-internal and treats the slice as read-only
 }
 
+// lattice mirrors DownsetSpace's expansion memo: a struct-field memo (the
+// field comment names it), an internal helper handing out memo entries to
+// same-package callers, and the exported accessors built on it.
+type expansion struct {
+	to   int
+	work float64
+}
+
+type expEntry struct {
+	maxWork float64
+	exps    []expansion
+}
+
+type lattice struct {
+	// exps memoizes enumerations per source state.
+	exps  []expEntry
+	plain [][]int
+}
+
+// ensureLocked returns the memoized entry itself; its callers must copy.
+func (l *lattice) ensureLocked(id int) expEntry {
+	return l.exps[id] //spglint:ignore memoalias fixture: internal helper, its callers are checked through the call
+}
+
+// expansionsLeak is the shape memoalias once missed: when the budget
+// matches, the memoized slice itself is handed out.
+func (l *lattice) expansionsLeak(id int, maxWork float64) []expansion {
+	entry := l.ensureLocked(id)
+	if entry.maxWork == maxWork {
+		return entry.exps // want `returns entry.exps, which holds memo/cache state`
+	}
+	var out []expansion
+	for _, ex := range entry.exps {
+		if ex.work <= maxWork {
+			out = append(out, ex)
+		}
+	}
+	return out
+}
+
+// expansionsCopy copies out of the entry: blessed.
+func (l *lattice) expansionsCopy(id int) []expansion {
+	entry := l.ensureLocked(id)
+	return append([]expansion(nil), entry.exps...)
+}
+
+// entryExps reaches the memo slice through the field directly.
+func (l *lattice) entryExps(id int) []expansion {
+	return l.exps[id].exps // want `returns l.exps\[id\].exps, which holds memo/cache state`
+}
+
+// row reads a field nobody marked as a memo: no finding.
+func (l *lattice) row(i int) []int {
+	return l.plain[i]
+}
+
+// verdictMemo mirrors DPA1D's family verdict memo: pointer entries, each
+// holding a certificate slice.
+type verdict struct {
+	layer  int
+	states []uint8
+	err    error
+}
+
+type verdictMemo struct {
+	m map[string][]*verdict
+}
+
+// all hands out the memo's verdict list.
+func (vm *verdictMemo) all(key string) []*verdict {
+	return vm.m[key] // want `returns vm.m\[key\] straight out of a memo/cache map`
+}
+
+// certificate hands out a memoized verdict's certificate.
+func (vm *verdictMemo) certificate(key string) []uint8 {
+	for _, v := range vm.m[key] {
+		if v.layer > 1 {
+			return v.states // want `returns v.states, which holds memo/cache state`
+		}
+	}
+	return nil
+}
+
+// replay returns only the verdict's error value: no finding.
+func (vm *verdictMemo) replay(key string, applies func(*verdict) bool) error {
+	verdicts := vm.m[key]
+	for _, v := range verdicts {
+		if applies(v) {
+			return v.err
+		}
+	}
+	return nil
+}
+
+// first shares a verdict pointer deliberately: exempt like any pointer.
+func (vm *verdictMemo) first(key string) *verdict {
+	return vm.m[key][0]
+}
+
+// firstCertificate reaches the certificate through a helper returning a
+// memoized verdict pointer.
+func (vm *verdictMemo) firstCertificate(key string) []uint8 {
+	v := vm.first(key)
+	return v.states // want `returns v.states, which holds memo/cache state`
+}
+
+// certificateCopy copies the certificate out: blessed.
+func (vm *verdictMemo) certificateCopy(key string) []uint8 {
+	v := vm.m[key][0]
+	return append([]uint8(nil), v.states...)
+}
+
 func copyChunks(chunks [][]int) [][]int {
 	out := make([][]int, len(chunks))
 	for i, c := range chunks {

@@ -204,10 +204,13 @@ func (a *Analysis) ScaleToCCR(target float64) *Analysis {
 // Aux returns the memoized auxiliary value for key, building it on first
 // use. It lets downstream packages attach their own caches of structure- or
 // weight-derived data to the analysis — the core package stores its
-// cross-period DPA2D rectangle tables and DPA1D's first-expansion verdicts
-// here — with the same sharing scope as the structural caches: one value
-// per scale family, never per volume variant. Keys follow the context.Context convention (unexported types in
-// the owning package). The build function must not depend on edge volumes.
+// cross-period DPA2D rectangle tables here, and DPA1D's budget verdicts,
+// whose cut certificates each member re-checks under its own volumes — with
+// the same sharing scope as the structural caches: one value per scale
+// family, never per volume variant. Keys follow the context.Context
+// convention (unexported types in the owning package). The build function
+// must not depend on edge volumes, and no value may answer for a member
+// from another member's volumes unchecked.
 func (a *Analysis) Aux(key any, build func() any) any {
 	sh := a.shared
 	sh.auxMu.Lock()
@@ -226,7 +229,8 @@ func (a *Analysis) Aux(key any, build func() any) any {
 // MemberAux is Aux at member scope: the value is memoized per family member
 // rather than per family, for downstream caches that depend on this member's
 // edge volumes (core's DPA1D run-outcome memo keys off the member because
-// the run's cut-capacity pruning reads volumes). Same conventions as Aux.
+// the run's cut-capacity pruning reads volumes; it also remembers which
+// family verdicts the member already checked). Same conventions as Aux.
 func (a *Analysis) MemberAux(key any, build func() any) any {
 	a.auxMu.Lock()
 	if a.aux == nil {

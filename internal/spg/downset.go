@@ -435,12 +435,7 @@ func (c *downsetCore) intern(counts []uint8, h uint64) (int, error) {
 	c.counts = append(c.counts, counts...)
 	base := len(c.bits)
 	c.bits = append(c.bits, make([]uint64, c.words)...)
-	for y, cnt := range counts {
-		for p := 0; p < int(cnt); p++ {
-			s := c.levels[y][p]
-			c.bits[base+(s>>6)] |= 1 << (uint(s) & 63)
-		}
-	}
+	fillMembers(c.bits[base:], c.levels, counts)
 	c.succ = append(c.succ, make([]int32, c.stride)...)
 	c.states = append(c.states, stateRec{hash: h})
 	return id, c.touch(id)
@@ -508,15 +503,9 @@ func (c *downsetCore) resolve(id, y int, counts []uint8) (int, error) {
 
 // Contains reports whether stage s belongs to downset id.
 func (ds *DownsetSpace) Contains(id, s int) bool {
-	ds.core.mu.Lock()
-	defer ds.core.mu.Unlock()
-	return ds.core.contains(id, s)
-}
-
-// contains answers membership from the per-state bitset: one word load
-// instead of the level/position translation, which is what the Cout edge
-// loop spends its time on.
-func (c *downsetCore) contains(id, s int) bool {
+	c := ds.core
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.bits[id*c.words+(s>>6)]>>(uint(s)&63)&1 != 0
 }
 
@@ -579,14 +568,74 @@ func (ds *DownsetSpace) coutLocked(id int) float64 {
 		return v
 	}
 	c := ds.core
+	total := edgeCut(ds.g.Edges, c.bits[id*c.words:(id+1)*c.words])
+	ds.coutCache[id] = total
+	return total
+}
+
+// fillMembers sets, in the zeroed bitset in, the stages of the downset whose
+// per-level counts are counts: the first counts[y] stages of each level.
+func fillMembers(in []uint64, levels [][]int, counts []uint8) {
+	for y, cnt := range counts {
+		for _, s := range levels[y][:cnt] {
+			in[s>>6] |= 1 << (uint(s) & 63)
+		}
+	}
+}
+
+// edgeCut sums, in edge order, the volumes of the edges leaving the stage
+// set whose membership bitset is in (source inside, destination outside).
+// It is the one definition of a downset's outgoing cut: DownsetSpace.Cout
+// and CutProbe.Cut both call it, so a cut evaluated from a count vector is
+// bit-identical to the one a space computes for the same downset.
+func edgeCut(edges []Edge, in []uint64) float64 {
 	var total float64
-	for _, e := range ds.g.Edges {
-		if c.contains(id, e.Src) && !c.contains(id, e.Dst) {
+	for _, e := range edges {
+		if in[e.Src>>6]>>(uint(e.Src)&63)&1 != 0 && in[e.Dst>>6]>>(uint(e.Dst)&63)&1 == 0 {
 			total += e.Volume
 		}
 	}
-	ds.coutCache[id] = total
 	return total
+}
+
+// AppendCountsRun appends to dst the per-level count vector of the downset
+// with run index k: how many stages of each elevation level it holds. The
+// vector names the downset independently of interning history, so it stays
+// meaningful after the space is evicted and in every family member's space.
+func (ds *DownsetSpace) AppendCountsRun(dst []uint8, k int) []uint8 {
+	c := ds.core
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append(dst, c.countsOf(int(c.runIDs[k]))...)
+}
+
+// CutProbe evaluates the outgoing cut of downsets named by their count
+// vectors (see AppendCountsRun) under one graph's edge volumes, without a
+// DownsetSpace. A probe reuses one membership buffer, so it is not safe for
+// concurrent use; make one per goroutine.
+type CutProbe struct {
+	edges  []Edge
+	levels [][]int
+	in     []uint64
+}
+
+// CutProbe returns a probe over this member's volumes and the family's
+// elevation levels — the levels every DownsetSpace of the family counts by.
+func (a *Analysis) CutProbe() *CutProbe {
+	return &CutProbe{edges: a.g.Edges, levels: a.Levels(), in: make([]uint64, (a.g.N()+63)/64)}
+}
+
+// Stride returns the length of the count vectors the probe reads: one count
+// per elevation level.
+func (p *CutProbe) Stride() int { return len(p.levels) }
+
+// Cut returns the aggregated volume of the edges leaving the downset with
+// per-level counts counts: exactly DownsetSpace.Cout of that downset in this
+// member's space.
+func (p *CutProbe) Cut(counts []uint8) float64 {
+	clear(p.in)
+	fillMembers(p.in, p.levels, counts)
+	return edgeCut(p.edges, p.in)
 }
 
 // Expansions enumerates every downset obtainable from id by adding stages
@@ -662,6 +711,7 @@ func (c *downsetCore) replayLocked(entry expEntry, maxWork float64, emit func(Ex
 // this file only re-filters it into a fresh slice).
 func (c *downsetCore) ensureExpansionsLocked(id int, maxWork float64) (expEntry, error) {
 	if x := c.states[id].exp; x > 0 && c.exps[x-1].maxWork >= maxWork {
+		//spglint:ignore memoalias internal helper: its callers re-filter the entry into fresh slices, and memoalias checks them through this call
 		return c.exps[x-1], c.touch(id)
 	}
 	if err := c.touch(id); err != nil {

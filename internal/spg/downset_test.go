@@ -129,6 +129,51 @@ func TestDownsetCout(t *testing.T) {
 	}
 }
 
+// TestCutProbeMatchesCout: a cut evaluated from a downset's count vector,
+// on any member of the scale family, is bit-identical to the cut that
+// member's space computes, and to an independent sum over the downset's
+// members in edge order.
+func TestCutProbeMatchesCout(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		base := NewAnalysis(randomSPG(rng, 2+rng.Intn(14)))
+		for _, an := range []*Analysis{base, base.ScaleToCCR(0.3), base.ScaleToCCR(7)} {
+			ds, err := an.DownsetSpace(1 << 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.BeginRun()
+			if _, err := ds.ExpansionsInRun(0, math.Inf(1)); err != nil {
+				t.Fatal(err)
+			}
+			probe := an.CutProbe()
+			var counts []uint8
+			for k := 0; k < ds.RunCount(); k++ {
+				counts = ds.AppendCountsRun(counts[:0], k)
+				in := map[int]bool{}
+				for _, s := range ds.Members(ds.RunID(k)) {
+					in[s] = true
+				}
+				var want float64
+				for _, e := range an.Graph().Edges {
+					if in[e.Src] && !in[e.Dst] {
+						want += e.Volume
+					}
+				}
+				got, cout := probe.Cut(counts), ds.CoutRun(k)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(cout) != math.Float64bits(want) {
+					t.Logf("seed %d run index %d: probe %g, Cout %g, reference %g", seed, k, got, cout, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestExpansionsRespectWorkBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomSPG(rng, 12)

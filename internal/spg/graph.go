@@ -141,7 +141,7 @@ func (g *Graph) buildAdj() {
 // The returned slice must not be modified.
 func (g *Graph) OutEdges(i int) []int {
 	g.buildAdj()
-	return g.out[i]
+	return g.out[i] //spglint:ignore memoalias read-only accessor by contract (documented above); copying would cost every adjacency walk an allocation
 }
 
 // InEdges returns the indices into g.Edges of the edges entering stage i.
